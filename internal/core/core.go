@@ -73,9 +73,10 @@ type Config struct {
 	DVFS bool
 
 	// ReGrant lets a running query widen when a completion frees cores
-	// and nothing is queued: the query replans at the wider grant and
-	// restarts its pipeline from the last restart point (results are
-	// unaffected; work done so far stays on its energy account).
+	// and nothing is queued: the live pipeline's outermost fragmented
+	// exchange spawns extra fragments against its morsel dispenser
+	// (exec.Widener). Results are unaffected and no work is redone; a
+	// serial plan has no exchange to widen and declines the offer.
 	ReGrant bool
 
 	// DRAMWattPerByte overrides the energy model's memory holding power;
@@ -153,6 +154,9 @@ func Open(cfg Config) (*DB, error) {
 	}
 	if cfg.PoolPages == 0 {
 		cfg.PoolPages = 1024
+	}
+	if err := cfg.Server.CPU.Validate(); err != nil {
+		return nil, fmt.Errorf("core: server %q: %w", cfg.Server.Name, err)
 	}
 	srv := hw.NewServer(cfg.Server)
 

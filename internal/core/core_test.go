@@ -1,11 +1,13 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"energydb/internal/hw"
 	"energydb/internal/opt"
+	"energydb/internal/sql"
 	"energydb/internal/table"
 	"energydb/internal/tpch"
 )
@@ -41,6 +43,9 @@ func TestOpenValidation(t *testing.T) {
 	}
 	if _, err := Open(Config{Server: hw.SmallServer(2), PoolPolicy: "mystery"}); err == nil {
 		t.Fatal("unknown policy should fail")
+	}
+	if _, err := Open(Config{}); err == nil {
+		t.Fatal("server without a CPU should fail")
 	}
 }
 
@@ -315,5 +320,18 @@ func TestErrorPaths(t *testing.T) {
 	}
 	if err := db.Insert("t", [][]table.Value{{table.StrVal("x")}}); err == nil {
 		t.Fatal("type mismatch insert should fail")
+	}
+	// Arithmetic with a string operand is a bind error, in a projection
+	// and inside an aggregate, never a plan that cannot evaluate.
+	mustExec(t, db, "CREATE TABLE pets (name VARCHAR(10), weight DOUBLE)")
+	mustExec(t, db, "INSERT INTO pets VALUES ('rex', 12.5)")
+	for _, q := range []string{
+		"SELECT name + 1 FROM pets",
+		"SELECT name * weight FROM pets",
+		"SELECT SUM(weight - name) AS s FROM pets",
+	} {
+		if _, err := db.Exec(q); !errors.Is(err, sql.ErrTypeMismatch) {
+			t.Errorf("%s: err = %v, want sql.ErrTypeMismatch", q, err)
+		}
 	}
 }

@@ -93,7 +93,7 @@ func NewCtx(p *sim.Proc, cpu *hw.CPU) *Ctx {
 // VecPool is a free list of scratch vectors. Operators acquire a vector
 // once (typically on first batch) and keep it for their lifetime,
 // resetting it per batch — so the pool's job is recycling across
-// operator instances (pipeline restarts, per-fragment expression
+// operator instances (retried pipelines, per-fragment expression
 // copies), not per-batch churn.
 type VecPool struct {
 	free []*table.Vector

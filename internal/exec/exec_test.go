@@ -267,16 +267,27 @@ func TestCompressedScanFasterButHotterOnWeakStorage(t *testing.T) {
 	}
 }
 
+// project builds a projection, failing the test if an expression does
+// not compile.
+func project(t testing.TB, in Operator, exprs []Expr, names ...string) *Project {
+	t.Helper()
+	p, err := NewProject(in, exprs, names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func TestFilterAndProject(t *testing.T) {
 	tab := ordersLike(1000)
 	r := newRig(1)
 	var got *table.Table
+	src := &Values{Tab: tab, BatchRows: 256}
+	f := &Filter{In: src, Pred: &ColConst{Col: 0, Op: Le, Val: table.IntVal(10)}}
+	p := project(t, f,
+		[]Expr{&ColRef{Col: 0}, &Arith{Op: Mul, L: &ColRef{Col: 3}, R: &Const{Val: table.FloatVal(2)}}},
+		"k", "double_price")
 	r.run(t, func(ctx *Ctx) {
-		src := &Values{Tab: tab, BatchRows: 256}
-		f := &Filter{In: src, Pred: &ColConst{Col: 0, Op: Le, Val: table.IntVal(10)}}
-		p := NewProject(f,
-			[]Scalar{&ColRef{Col: 0}, &Arith{Op: Mul, L: &ColRef{Col: 3}, R: &Const{Val: table.FloatVal(2)}}},
-			[]string{"k", "double_price"})
 		var err error
 		got, err = Collect(ctx, p)
 		if err != nil {

@@ -294,14 +294,38 @@ func (p *Not) Eval(ctx *Ctx, b *table.Batch, sel []int32) []int32 {
 
 func (p *Not) String() string { return "NOT " + p.Pred.String() }
 
-// Scalar is a per-row expression producing a vector; projections and
-// aggregate inputs use it. EvalInto evaluates over the batch's physical
-// rows (the full vectors), so a selection riding on the batch composes
-// onto the result unchanged.
-type Scalar interface {
+// Expr is a node of a scalar expression tree, the form projections are
+// built from: a ColRef, a Const, or an Arith over two Exprs.
+type Expr interface {
 	Type(s *table.Schema) table.Type
-	EvalInto(ctx *Ctx, b *table.Batch) *table.Vector
 	String() string
+}
+
+// Scalar is an evaluable Expr producing one vector per batch. EvalInto
+// evaluates over the batch's physical rows (the full vectors), so a
+// selection riding on the batch composes onto the result unchanged.
+// ColRef and Const evaluate themselves; an Arith tree evaluates only once
+// compiled into a FusedExpr (compileExpr).
+type Scalar interface {
+	Expr
+	EvalInto(ctx *Ctx, b *table.Batch) *table.Vector
+}
+
+// compileExpr turns an expression tree into its evaluator: Arith trees
+// compile to one fused kernel, and a tree the compiler cannot fuse is an
+// error.
+func compileExpr(e Expr, s *table.Schema) (Scalar, error) {
+	switch v := e.(type) {
+	case *Arith:
+		f, err := FuseScalar(v, s)
+		if err != nil {
+			return nil, err
+		}
+		return f, nil
+	case Scalar:
+		return v, nil
+	}
+	return nil, fmt.Errorf("exec: expression %v (%T) has no evaluator", e, e)
 }
 
 // ColRef reads a column through unchanged.
@@ -355,93 +379,30 @@ func (o ArithOp) String() string {
 	return [...]string{"+", "-", "*", "/"}[o]
 }
 
-// Arith combines two numeric scalars. Integer-class operands promote to
-// float64 when mixed with floats; Div always produces float64.
+// Arith combines two numeric expressions. Integer-class operands promote
+// to float64 when mixed with floats; Div always produces float64. It has
+// no evaluator of its own: FuseScalar compiles the whole tree into one
+// kernel.
 type Arith struct {
 	Op   ArithOp
-	L, R Scalar
-
-	scratch *table.Vector
+	L, R Expr
 }
 
-// Type implements Scalar.
+// Type implements Expr.
 func (e *Arith) Type(s *table.Schema) table.Type {
-	if e.Op == Div {
-		return table.Float64
-	}
-	lt, rt := e.L.Type(s), e.R.Type(s)
-	if lt.Physical() == table.PhysFloat || rt.Physical() == table.PhysFloat {
-		return table.Float64
-	}
-	return lt
+	return ArithType(e.Op, e.L.Type(s), e.R.Type(s))
 }
 
-// EvalInto implements Scalar. This is the node-at-a-time fallback path
-// (FuseScalar compiles whole trees out of it); its output vector is
-// node-local scratch reused per batch.
-func (e *Arith) EvalInto(ctx *Ctx, b *table.Batch) *table.Vector {
-	ctx.ChargeRows(b.Rows(), ctx.Costs.ProjectCyclesPerRow)
-	l := e.L.EvalInto(ctx, b)
-	r := e.R.EvalInto(ctx, b)
-	n := b.PhysRows()
-	if e.scratch == nil {
-		e.scratch = scratchVec(ctx, e.Type(b.Schema), n)
+// ArithType is the result type of l op r over numeric operands.
+func ArithType(op ArithOp, l, r table.Type) table.Type {
+	if op == Div || l.Physical() == table.PhysFloat || r.Physical() == table.PhysFloat {
+		return table.Float64
 	}
-	e.scratch.Reset()
-	out := e.scratch
-	if out.Type.Physical() == table.PhysFloat {
-		for i := 0; i < n; i++ {
-			out.F = append(out.F, arithF(e.Op, numAsF(l, i), numAsF(r, i)))
-		}
-		return out
-	}
-	for i := 0; i < n; i++ {
-		out.I = append(out.I, arithI(e.Op, l.I[i], r.I[i]))
-	}
-	return out
+	return l
 }
 
 func (e *Arith) String() string {
 	return fmt.Sprintf("(%s %v %s)", e.L, e.Op, e.R)
-}
-
-func numAsF(v *table.Vector, i int) float64 {
-	if v.Type.Physical() == table.PhysFloat {
-		return v.F[i]
-	}
-	return float64(v.I[i])
-}
-
-func arithF(op ArithOp, a, b float64) float64 {
-	switch op {
-	case Add:
-		return a + b
-	case Sub:
-		return a - b
-	case Mul:
-		return a * b
-	default:
-		if b == 0 {
-			return 0
-		}
-		return a / b
-	}
-}
-
-func arithI(op ArithOp, a, b int64) int64 {
-	switch op {
-	case Add:
-		return a + b
-	case Sub:
-		return a - b
-	case Mul:
-		return a * b
-	default:
-		if b == 0 {
-			return 0
-		}
-		return a / b
-	}
 }
 
 // TruePred matches every row (no per-row charge: it does no work).

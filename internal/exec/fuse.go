@@ -1,20 +1,19 @@
 package exec
 
 import (
+	"fmt"
+
 	"energydb/internal/table"
 )
 
-// This file is the scalar expression fusion pass. Arith trees evaluate
-// one node at a time through Scalar.EvalInto, each node allocating a
-// fresh output vector per batch and visiting every physical row even
-// when a selection has dropped most of them. FuseScalar compiles such a
-// tree into a single typed kernel — a flat postorder register program —
-// that runs one pass per instruction over reused scratch buffers
-// (Filter-style: acquired once, recycled across batches) and touches
-// only selected rows. Results are bit-identical to node-at-a-time
-// evaluation: the same promotion rule (Div and int/float mixes go
-// float64, integer ops wrap), the same div-by-zero-yields-zero, and the
-// same per-element operation order.
+// This file is the scalar expression compiler. Arith trees have no
+// evaluator of their own: FuseScalar compiles each into a single typed
+// kernel — a flat postorder register program — that runs one pass per
+// instruction over reused scratch buffers (Filter-style: acquired once,
+// recycled across batches) and touches only selected rows. Semantics:
+// Div and int/float mixes go float64 (integers converted at read),
+// integer ops wrap, division by zero yields zero, and every element
+// applies the tree's operations in postorder.
 
 // fuseArgKind says where an instruction operand comes from.
 type fuseArgKind uint8
@@ -44,12 +43,12 @@ type fuseInstr struct {
 
 // FusedExpr is a Scalar whose whole Arith tree evaluates in one kernel.
 type FusedExpr struct {
-	orig  Scalar // the tree it was compiled from (String, Type)
+	orig  *Arith // the tree it was compiled from (String)
 	prog  []fuseInstr
 	typ   table.Type
 	nI    int // int64 register bank size
 	nF    int // float64 register bank size
-	nodes int // Arith nodes fused (charging matches node-at-a-time)
+	nodes int // Arith nodes fused: each charges ProjectCyclesPerRow per row
 
 	regsI [][]int64
 	regsF [][]float64
@@ -57,26 +56,22 @@ type FusedExpr struct {
 	iota  []int32
 }
 
-// FuseScalar compiles e into a fused kernel when it is an arithmetic
-// tree over column references and numeric constants. ok=false (string
-// operands, non-Arith roots, unknown Scalar impls) means keep e as-is.
-func FuseScalar(e Scalar, s *table.Schema) (*FusedExpr, bool) {
-	root, isArith := e.(*Arith)
-	if !isArith {
-		return nil, false
-	}
+// FuseScalar compiles an arithmetic tree over column references and
+// numeric constants into a fused kernel. Any other operand (a string
+// column or constant, an unknown Expr) is an error: the binder rejects
+// such trees, so none reaches a plan.
+func FuseScalar(e *Arith, s *table.Schema) (*FusedExpr, error) {
 	c := fuseCompiler{s: s}
-	arg, ok := c.compile(root)
-	if !ok || arg.kind != fuseReg {
-		return nil, false
+	if _, ok := c.compile(e); !ok {
+		return nil, fmt.Errorf("exec: cannot compile %v: operands must be numeric columns or constants", e)
 	}
 	f := &FusedExpr{
-		orig: e, prog: c.prog, typ: root.Type(s),
+		orig: e, prog: c.prog, typ: e.Type(s),
 		nI: c.maxI, nF: c.maxF, nodes: len(c.prog),
 	}
 	f.regsI = make([][]int64, f.nI)
 	f.regsF = make([][]float64, f.nF)
-	return f, true
+	return f, nil
 }
 
 // fuseCompiler walks the tree postorder, allocating registers with a
@@ -89,7 +84,7 @@ type fuseCompiler struct {
 	maxI, maxF int
 }
 
-func (c *fuseCompiler) compile(e Scalar) (fuseArg, bool) {
+func (c *fuseCompiler) compile(e Expr) (fuseArg, bool) {
 	switch v := e.(type) {
 	case *ColRef:
 		switch c.s.Cols[v.Col].Type.Physical() {
@@ -162,7 +157,7 @@ func (e *FusedExpr) String() string { return e.orig.String() }
 
 // fOpd is a float-class operand resolved against one batch: exactly one
 // of f/i is non-nil (column or register data, integers converted at
-// read, matching numAsF), else the constant c applies.
+// read), else the constant c applies.
 type fOpd struct {
 	f []float64
 	i []int64
@@ -228,8 +223,8 @@ func (e *FusedExpr) resolveI(a fuseArg, b *table.Batch) iOpd {
 // (or the identity when dense), writing results at physical positions so
 // an incoming Batch.Sel composes onto the output unchanged; deselected
 // positions hold stale scratch values that no selection-honouring
-// consumer reads. The charge equals node-at-a-time evaluation: one
-// ProjectCyclesPerRow per fused node per selected row.
+// consumer reads. The charge is one ProjectCyclesPerRow per fused node
+// per selected row.
 func (e *FusedExpr) EvalInto(ctx *Ctx, b *table.Batch) *table.Vector {
 	ctx.ChargeRows(b.Rows(), float64(e.nodes)*ctx.Costs.ProjectCyclesPerRow)
 	n := b.PhysRows()
@@ -311,17 +306,9 @@ func fusedLoopI(op ArithOp, dst []int64, l, r *iOpd, sel []int32) {
 		for _, i := range sel {
 			dst[i] = l.at(i) - r.at(i)
 		}
-	case Mul:
-		for _, i := range sel {
-			dst[i] = l.at(i) * r.at(i)
-		}
 	default:
 		for _, i := range sel {
-			if d := r.at(i); d == 0 {
-				dst[i] = 0
-			} else {
-				dst[i] = l.at(i) / d
-			}
+			dst[i] = l.at(i) * r.at(i)
 		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"energydb/internal/fault"
 	"energydb/internal/hw"
 	"energydb/internal/opt"
+	"energydb/internal/sched"
 	"energydb/internal/tpch"
 )
 
@@ -40,24 +41,36 @@ const (
 	chaosSF      = 0.002
 )
 
+// chaosRig varies the chaos database: policy selects the admission
+// policy ("" = FIFO); regrant lets completions offer freed cores to
+// running queries, whose live exchanges widen in place under faults;
+// blockRows overrides the 4096-row storage blocks (smaller blocks give
+// the SF 0.002 tables enough morsels for plans to fragment and widen).
+type chaosRig struct {
+	policy    string
+	regrant   bool
+	blockRows int
+}
+
 // chaosDB opens the chaos rig and returns it with the joules attributed
 // to the warm-up placement queries — the attribution invariant sums over
-// every account ever opened, warm-up included. policy selects the
-// admission policy ("" = FIFO); regrant additionally lets completions
-// re-offer freed cores to running queries, stressing the pipeline
-// restart path under faults.
-func chaosDB(t *testing.T, policy string, regrant bool) (*core.DB, float64) {
+// every account ever opened, warm-up included.
+func chaosDB(t *testing.T, rig chaosRig) (*core.DB, float64) {
 	t.Helper()
+	blockRows := rig.blockRows
+	if blockRows == 0 {
+		blockRows = 4096
+	}
 	db, err := core.Open(core.Config{
 		Server:      hw.SmallServer(4),
 		Objective:   opt.MinTime,
 		PageBytes:   16 << 10,
-		BlockRows:   4096,
+		BlockRows:   blockRows,
 		PoolPages:   16, // small pool: scans keep hitting the faultable disks
 		WALBatch:    1,
 		RetryMax:    2,
-		SchedPolicy: policy,
-		ReGrant:     regrant,
+		SchedPolicy: rig.policy,
+		ReGrant:     rig.regrant,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -88,12 +101,13 @@ func chaosDB(t *testing.T, policy string, regrant bool) (*core.DB, float64) {
 	return db, warm
 }
 
-// chaosReference runs the mix fault-free once and reports each query's
-// answer (row count) and solo latency, which sizes deadlines and the
-// crash instant for the seeded runs.
-func chaosReference(t *testing.T) (rows map[string]int64, elapsed map[string]float64) {
+// chaosReference runs the mix fault-free once on the rig's storage
+// layout (FIFO, no re-grant) and reports each query's answer (row count)
+// and solo latency, which sizes deadlines and the crash instant for the
+// seeded runs.
+func chaosReference(t *testing.T, rig chaosRig) (rows map[string]int64, elapsed map[string]float64) {
 	t.Helper()
-	db, _ := chaosDB(t, "", false)
+	db, _ := chaosDB(t, chaosRig{blockRows: rig.blockRows})
 	rows = make(map[string]int64)
 	elapsed = make(map[string]float64)
 	for _, q := range tpch.ThroughputMix() {
@@ -117,13 +131,13 @@ type chaosQuery struct {
 	rows        *core.Rows
 }
 
-// runChaos executes one seeded chaos run and returns its fingerprint.
-// All randomness flows through the injector, so the run is a pure
-// function of (seed, crash, policy) and the fingerprint must be
+// runChaos executes one seeded chaos run and returns its fingerprint and
+// admission stats. All randomness flows through the injector, so the run
+// is a pure function of (seed, crash, rig) and the fingerprint must be
 // bit-identical across repeats.
-func runChaos(t *testing.T, seed int64, crash bool, policy string, regrant bool, refRows map[string]int64, refElapsed map[string]float64) string {
+func runChaos(t *testing.T, seed int64, crash bool, rig chaosRig, refRows map[string]int64, refElapsed map[string]float64) (string, sched.Stats) {
 	t.Helper()
-	db, warm := chaosDB(t, policy, regrant)
+	db, warm := chaosDB(t, rig)
 	inj := fault.NewInjector(seed)
 	rng := inj.Rand()
 
@@ -283,16 +297,16 @@ func runChaos(t *testing.T, seed int64, crash bool, policy string, regrant bool,
 
 	fmt.Fprintf(&fp, "now %.9f meter %.9f unattributed %.9f\n",
 		db.Srv.Eng.Now(), meter, float64(db.Attr.Unattributed()))
-	return fp.String()
+	return fp.String(), db.SchedStats()
 }
 
 // TestChaosWorkload: the seeded multi-stream run without a crash, run
 // twice — outcomes must satisfy every invariant and the two fingerprints
 // must be bit-identical.
 func TestChaosWorkload(t *testing.T) {
-	refRows, refElapsed := chaosReference(t)
-	fp1 := runChaos(t, *chaosSeed, false, "", false, refRows, refElapsed)
-	fp2 := runChaos(t, *chaosSeed, false, "", false, refRows, refElapsed)
+	refRows, refElapsed := chaosReference(t, chaosRig{})
+	fp1, _ := runChaos(t, *chaosSeed, false, chaosRig{}, refRows, refElapsed)
+	fp2, _ := runChaos(t, *chaosSeed, false, chaosRig{}, refRows, refElapsed)
 	if fp1 != fp2 {
 		t.Fatalf("same seed diverged:\n--- run 1\n%s--- run 2\n%s", fp1, fp2)
 	}
@@ -306,9 +320,9 @@ func TestChaosWorkload(t *testing.T) {
 // statements fail typed, future arrivals re-arm and succeed, recovery
 // reproduces the reference answers, and the run stays deterministic.
 func TestChaosCrashRecovery(t *testing.T) {
-	refRows, refElapsed := chaosReference(t)
-	fp1 := runChaos(t, *chaosSeed, true, "", false, refRows, refElapsed)
-	fp2 := runChaos(t, *chaosSeed, true, "", false, refRows, refElapsed)
+	refRows, refElapsed := chaosReference(t, chaosRig{})
+	fp1, _ := runChaos(t, *chaosSeed, true, chaosRig{}, refRows, refElapsed)
+	fp2, _ := runChaos(t, *chaosSeed, true, chaosRig{}, refRows, refElapsed)
 	if fp1 != fp2 {
 		t.Fatalf("same seed diverged:\n--- run 1\n%s--- run 2\n%s", fp1, fp2)
 	}
@@ -317,17 +331,29 @@ func TestChaosCrashRecovery(t *testing.T) {
 	}
 }
 
-// TestChaosWorkloadEDF: the same seeded chaos mix under the EDF policy
-// with re-granting enabled — queue-jumping dispatch and mid-run pipeline
-// restarts must preserve every lifecycle invariant (typed outcomes, zero
-// leaked grants, exact attribution) and stay deterministic.
+// TestChaosWorkloadEDF: the seeded chaos mix under the EDF policy with
+// re-granting enabled, on blocks small enough that plans fragment —
+// queue-jumping dispatch and in-place widening of live exchanges must
+// preserve every lifecycle invariant (reference answers, typed outcomes,
+// zero leaked grants, exact attribution) and stay deterministic. The run
+// must actually widen. Whether it does is a property of the seeded
+// schedule (an offer needs a completion that leaves cores free with the
+// queue empty while another query's exchange still has morsels to
+// hand out); at 256-row blocks 37 of seeds 1–40 widen, seeds 1 and 2009
+// among them, and a seed that never widens fails here rather than pass
+// without exercising the path.
 func TestChaosWorkloadEDF(t *testing.T) {
-	refRows, refElapsed := chaosReference(t)
-	fp1 := runChaos(t, *chaosSeed, false, "edf", true, refRows, refElapsed)
-	fp2 := runChaos(t, *chaosSeed, false, "edf", true, refRows, refElapsed)
+	rig := chaosRig{policy: "edf", regrant: true, blockRows: 256}
+	refRows, refElapsed := chaosReference(t, rig)
+	fp1, st := runChaos(t, *chaosSeed, false, rig, refRows, refElapsed)
+	fp2, _ := runChaos(t, *chaosSeed, false, rig, refRows, refElapsed)
 	if fp1 != fp2 {
 		t.Fatalf("same seed diverged:\n--- run 1\n%s--- run 2\n%s", fp1, fp2)
 	}
+	if st.Regrants == 0 {
+		t.Fatalf("seed %d: re-grant enabled but no query widened (%+v)", *chaosSeed, st)
+	}
+	t.Logf("seed %d: %d regrants, %d cores", *chaosSeed, st.Regrants, st.RegrantCores)
 	if testing.Verbose() {
 		t.Logf("seed %d EDF fingerprint:\n%s", *chaosSeed, fp1)
 	}

@@ -54,10 +54,20 @@ type CPU struct {
 	totalWork  float64 // cycles executed
 }
 
-// NewCPU registers a CPU on the meter and returns it.
-func NewCPU(e *sim.Engine, m *energy.Meter, name string, spec CPUSpec) *CPU {
+// Validate reports whether the spec describes a CPU that can run work:
+// at least one core at a positive frequency.
+func (spec CPUSpec) Validate() error {
 	if spec.Cores <= 0 || spec.FreqHz <= 0 {
-		panic(fmt.Sprintf("hw: invalid CPU spec %+v", spec))
+		return fmt.Errorf("hw: invalid CPU spec %+v", spec)
+	}
+	return nil
+}
+
+// NewCPU registers a CPU on the meter and returns it. It panics on a spec
+// Validate rejects.
+func NewCPU(e *sim.Engine, m *energy.Meter, name string, spec CPUSpec) *CPU {
+	if err := spec.Validate(); err != nil {
+		panic(err.Error())
 	}
 	if len(spec.PStates) == 0 {
 		spec.PStates = []PState{{Name: "P0", FreqScale: 1, PowerScale: 1}}

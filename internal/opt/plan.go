@@ -580,20 +580,24 @@ func (p *PProject) Build(ctx *exec.Ctx) (exec.Operator, error) {
 	return p.wrap(in)
 }
 
-// wrap puts this projection over one input operator with fresh scalar
-// instances (expression trees are stateless today, but fragments must not
-// share operators regardless).
+// wrap puts this projection over one input operator with fresh
+// expression instances: each compiles its own fused kernel, whose scratch
+// registers fragments must not share.
 func (p *PProject) wrap(in exec.Operator) (exec.Operator, error) {
 	cols := p.In.Columns()
-	exprs := make([]exec.Scalar, len(p.Exprs))
+	exprs := make([]exec.Expr, len(p.Exprs))
 	for i, e := range p.Exprs {
-		ex, err := buildScalar(e, cols)
+		ex, err := buildExpr(e, cols)
 		if err != nil {
 			return nil, err
 		}
 		exprs[i] = ex
 	}
-	return exec.NewProject(in, exprs, p.Names), nil
+	proj, err := exec.NewProject(in, exprs, p.Names)
+	if err != nil {
+		return nil, err
+	}
+	return proj, nil
 }
 
 // BuildFragments implements fragSource: the child's fragments each get
@@ -611,7 +615,7 @@ func (p *PProject) BuildFragments(ctx *exec.Ctx, dop int) (*fragPipeline, error)
 	return wrapFrags(fp, p.wrap)
 }
 
-func buildScalar(e *ExprIR, cols []ColRef) (exec.Scalar, error) {
+func buildExpr(e *ExprIR, cols []ColRef) (exec.Expr, error) {
 	switch {
 	case e.Col != nil:
 		i := colIndex(cols, *e.Col)
@@ -622,11 +626,11 @@ func buildScalar(e *ExprIR, cols []ColRef) (exec.Scalar, error) {
 	case e.Const != nil:
 		return &exec.Const{Val: *e.Const}, nil
 	default:
-		l, err := buildScalar(e.L, cols)
+		l, err := buildExpr(e.L, cols)
 		if err != nil {
 			return nil, err
 		}
-		r, err := buildScalar(e.R, cols)
+		r, err := buildExpr(e.R, cols)
 		if err != nil {
 			return nil, err
 		}

@@ -25,7 +25,7 @@
 // completion*: when a job finishes and leaves cores free with nothing
 // queued, running jobs that registered a widen callback are offered the
 // freed cores in admission order, so a query admitted narrow on a busy
-// box can restart its pipeline wider once the box drains.
+// box can widen its live pipeline in place once the box drains.
 package sched
 
 import (
@@ -372,9 +372,10 @@ func (a *Admission) dispatch() {
 // SetWiden registers a running ticket's widen callback. When a completion
 // leaves cores free and nothing queued (and ReGrant is enabled), the
 // callback is offered the free cores and returns how many it accepts —
-// typically after replanning at the wider grant and arranging a pipeline
-// restart. It must return between 0 and the offer; the controller
-// applies the acceptance to the ticket's grant. Pass nil to deregister.
+// the session hands them to its live pipeline's exchange, which spawns
+// that many extra fragments (exec.Widener). It must return between 0 and
+// the offer; the controller applies the acceptance to the ticket's
+// grant. Pass nil to deregister.
 func (a *Admission) SetWiden(t *Ticket, fn func(free int) int) { t.widen = fn }
 
 // Shrink returns part of a running job's grant to the free pool — a

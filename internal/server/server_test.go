@@ -3,11 +3,13 @@ package server_test
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"energydb/internal/client"
 	"energydb/internal/core"
@@ -190,6 +192,64 @@ func TestTypedErrorsOverTheWire(t *testing.T) {
 	if _, err := sess.Query(tpch.Q6); err != nil {
 		t.Fatalf("connection dead after statement error: %v", err)
 	}
+}
+
+// TestStringArithmeticKeepsServerUp: arithmetic on a string column is a
+// statement error over the wire (the binder's sql.ErrTypeMismatch), not a
+// dead connection, and the server keeps serving other tenants. The second tenant's query runs under a
+// timeout, and the server is closed only once it has answered, so a
+// wedged server fails the test instead of hanging it.
+func TestStringArithmeticKeepsServerUp(t *testing.T) {
+	db := openTPCH(t, 0.01)
+	srv := server.New(db)
+	c, err := client.New(srv.Pipe(), "acme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := c.Session()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := sess.Query(`SELECT o_orderpriority + 1 FROM orders`)
+	if err == nil {
+		_, err = rows.Result()
+	}
+	if err == nil || errors.Is(err, io.EOF) {
+		t.Fatalf("string arithmetic: err = %v, want a statement error", err)
+	}
+	if _, err := sess.Query(`SELECT COUNT(*) FROM orders`); err != nil {
+		t.Fatalf("connection dead after string arithmetic: %v", err)
+	}
+
+	done := make(chan error, 1)
+	go func() {
+		c2, err := client.New(srv.Pipe(), "other")
+		if err != nil {
+			done <- err
+			return
+		}
+		defer c2.Close()
+		sess2, err := c2.Session()
+		if err != nil {
+			done <- err
+			return
+		}
+		rows, err := sess2.Query(`SELECT COUNT(*) FROM orders`)
+		if err == nil {
+			_, err = rows.Result()
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("second tenant: %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("second tenant's COUNT(*) hung: the server is wedged")
+	}
+	c.Close()
+	srv.Close()
 }
 
 // TestCancelMidStream: fetch a couple of batches, CANCEL, and verify the

@@ -13,6 +13,11 @@ import (
 // alias; match with errors.Is, not the message.
 var ErrDuplicateAlias = errors.New("sql: duplicate alias")
 
+// ErrTypeMismatch is the sentinel Bind wraps when an operator gets an
+// operand of the wrong type (arithmetic on a string); match with
+// errors.Is.
+var ErrTypeMismatch = errors.New("sql: type mismatch")
+
 // SchemaLookup resolves a relation name to its schema.
 type SchemaLookup func(rel string) (*table.Schema, bool)
 
@@ -108,7 +113,7 @@ func (b *binder) run() (*opt.Query, error) {
 			aggIdx++
 			q.Outputs = append(q.Outputs, opt.OutputIR{Agg: ag, As: as})
 		default:
-			e, err := b.bindExpr(item.Expr)
+			e, _, err := b.bindExpr(item.Expr)
 			if err != nil {
 				return nil, err
 			}
@@ -293,7 +298,7 @@ func (b *binder) bindAgg(a *AggCall) (*opt.AggIR, error) {
 	}
 	out := &opt.AggIR{Func: fn}
 	if !a.Star {
-		e, err := b.bindExpr(a.Arg)
+		e, _, err := b.bindExpr(a.Arg)
 		if err != nil {
 			return nil, err
 		}
@@ -304,25 +309,27 @@ func (b *binder) bindAgg(a *AggCall) (*opt.AggIR, error) {
 	return out, nil
 }
 
-func (b *binder) bindExpr(e *AstExpr) (*opt.ExprIR, error) {
+// bindExpr binds a scalar expression and reports its type. Arithmetic
+// takes only int- or float-class operands.
+func (b *binder) bindExpr(e *AstExpr) (*opt.ExprIR, table.Type, error) {
 	switch {
 	case e.Col != nil:
-		c, _, err := b.resolve(*e.Col)
+		c, t, err := b.resolve(*e.Col)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		return &opt.ExprIR{Col: &c}, nil
+		return &opt.ExprIR{Col: &c}, t, nil
 	case e.Lit != nil:
 		v := *e.Lit
-		return &opt.ExprIR{Const: &v}, nil
+		return &opt.ExprIR{Const: &v}, v.Type, nil
 	default:
-		l, err := b.bindExpr(e.L)
+		l, lt, err := b.bindExpr(e.L)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		r, err := b.bindExpr(e.R)
+		r, rt, err := b.bindExpr(e.R)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		var op exec.ArithOp
 		switch e.Op {
@@ -335,8 +342,14 @@ func (b *binder) bindExpr(e *AstExpr) (*opt.ExprIR, error) {
 		case "/":
 			op = exec.Div
 		default:
-			return nil, fmt.Errorf("sql: unknown arithmetic operator %q", e.Op)
+			return nil, 0, fmt.Errorf("sql: unknown arithmetic operator %q", e.Op)
 		}
-		return &opt.ExprIR{Op: op, L: l, R: r}, nil
+		for _, t := range []table.Type{lt, rt} {
+			if p := t.Physical(); p != table.PhysInt && p != table.PhysFloat {
+				return nil, 0, fmt.Errorf("%w: %v %s %v has a %v operand",
+					ErrTypeMismatch, l, e.Op, r, t)
+			}
+		}
+		return &opt.ExprIR{Op: op, L: l, R: r}, exec.ArithType(op, lt, rt), nil
 	}
 }
