@@ -115,7 +115,21 @@ func putUvarint(dst []byte, x uint64) []byte {
 	return append(dst, byte(x))
 }
 
+// uvarintLen is the length of putUvarint's encoding of x.
+func uvarintLen(x uint64) int {
+	n := 1
+	for x >= 0x80 {
+		x >>= 7
+		n++
+	}
+	return n
+}
+
 func uvarint(src []byte) (uint64, int) {
+	// Fast path: most lengths, counts and indexes fit in one byte.
+	if len(src) > 0 && src[0] < 0x80 {
+		return uint64(src[0]), 1
+	}
 	var x uint64
 	var s uint
 	for i, b := range src {

@@ -152,6 +152,32 @@ func TestHugeLengthVarintDoesNotPanic(t *testing.T) {
 	}
 }
 
+func TestDictHugeSymbolCountIsCorrupt(t *testing.T) {
+	// Regression: the symbol count came straight from the block into
+	// make(), so a 10-byte input asked for 2^63-1 slots and panicked.
+	in := []byte{dictMarker, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}
+	if _, err := Dict.Decode(nil, in); err != ErrCorrupt {
+		t.Fatalf("dict huge symbol count: got %v, want ErrCorrupt", err)
+	}
+	// A count the input cannot hold is corrupt however small it is.
+	if _, err := Dict.Decode(nil, []byte{dictMarker, 3, 0, 0}); err != ErrCorrupt {
+		t.Fatalf("dict symbol count past the input: got %v, want ErrCorrupt", err)
+	}
+}
+
+func TestDictRoundTripsNonCanonicalLengths(t *testing.T) {
+	// Regression: bytes that parsed as a string stream only through a
+	// padded length varint (0x80 0x00 is a two-byte zero) were dictionary
+	// coded, and Decode re-emitted the length in one byte.
+	for _, src := range [][]byte{
+		{0x80, 0x00},
+		{0x01, 'a', 0x81, 0x00, 'b'},
+		append(bytes.Repeat([]byte{0x80}, 9), 0x02),
+	} {
+		roundTrip(t, Dict, src)
+	}
+}
+
 func TestRegistry(t *testing.T) {
 	for _, name := range []string{"raw", "rle", "delta", "bitpack", "dict", "lz"} {
 		c, err := ByName(name)
@@ -244,9 +270,11 @@ func BenchmarkCodecs(b *testing.B) {
 			}
 		})
 		b.Run(c.Name()+"/decode", func(b *testing.B) {
+			// Into one presized buffer, as a column scan decodes.
+			dst := make([]byte, 0, len(src))
 			b.SetBytes(int64(len(src)))
 			for i := 0; i < b.N; i++ {
-				if _, err := c.Decode(nil, enc); err != nil {
+				if _, err := c.Decode(dst, enc); err != nil {
 					b.Fatal(err)
 				}
 			}

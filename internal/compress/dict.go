@@ -25,7 +25,10 @@ func parseStrings(src []byte) (vals [][]byte, ok bool) {
 	for off := 0; off < len(src); {
 		n, k := uvarint(src[off:])
 		// Guard n before converting: a 2^63+ length would wrap negative.
-		if k <= 0 || n > uint64(len(src)) || off+k+int(n) > len(src) {
+		// Decode re-emits each length in canonical form, so a padded or
+		// overlong varint would not round-trip: such input is not a
+		// string stream.
+		if k <= 0 || k != uvarintLen(n) || n > uint64(len(src)) || off+k+int(n) > len(src) {
 			return nil, false
 		}
 		off += k
@@ -66,6 +69,7 @@ func (dictCodec) Decode(dst, src []byte) ([]byte, error) {
 	if len(src) == 0 {
 		return dst, nil
 	}
+	base, budget := len(dst), decodeBudget(len(src))
 	switch src[0] {
 	case rawMarker:
 		return append(dst, src[1:]...), nil
@@ -75,7 +79,9 @@ func (dictCodec) Decode(dst, src []byte) ([]byte, error) {
 		return dst, ErrCorrupt
 	}
 	nsym, k := uvarint(src)
-	if k <= 0 {
+	// Every symbol needs at least its length byte: bound the count by the
+	// input before sizing the table from it.
+	if k <= 0 || nsym > uint64(len(src)-k) {
 		return dst, ErrCorrupt
 	}
 	src = src[k:]
@@ -101,6 +107,9 @@ func (dictCodec) Decode(dst, src []byte) ([]byte, error) {
 		src = src[k:]
 		s := symbols[idx]
 		dst = putUvarint(dst, uint64(len(s)))
+		if len(s) > budget-(len(dst)-base) {
+			return dst, ErrCorrupt
+		}
 		dst = append(dst, s...)
 	}
 	if len(src) != 0 {

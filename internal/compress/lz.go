@@ -69,7 +69,7 @@ func (lzCodec) Decode(dst, src []byte) ([]byte, error) {
 	budget := decodeBudget(len(src))
 	for {
 		litLen, k := uvarint(src)
-		if k <= 0 || uint64(len(src[k:])) < litLen {
+		if k <= 0 || uint64(len(src[k:])) < litLen || litLen > uint64(budget-(len(dst)-base)) {
 			return dst, ErrCorrupt
 		}
 		src = src[k:]
@@ -92,13 +92,24 @@ func (lzCodec) Decode(dst, src []byte) ([]byte, error) {
 			return dst, ErrCorrupt
 		}
 		src = src[k:]
-		pos := len(dst) - int(off)
-		if off == 0 || pos < base || mlen > uint64(budget-(len(dst)-base)) {
+		// off is compared before it is converted: a 2^63+ distance
+		// would wrap negative and point past the end of dst.
+		if off == 0 || off > uint64(len(dst)-base) || mlen > uint64(budget-(len(dst)-base)) {
 			return dst, ErrCorrupt
 		}
-		// Byte-wise copy: matches may overlap themselves (run encoding).
-		for j := uint64(0); j < mlen; j++ {
-			dst = append(dst, dst[pos+int(j)])
+		pos := len(dst) - int(off)
+		n := int(mlen)
+		if int(off) >= n {
+			dst = append(dst, dst[pos:pos+n]...)
+			continue
+		}
+		// An overlapping match repeats its last off bytes (run encoding).
+		// Everything from pos on is periodic with period off, so each pass
+		// may copy all of it: the chunk doubles until the match is done.
+		for n > 0 {
+			chunk := min(n, len(dst)-pos)
+			dst = append(dst, dst[pos:pos+chunk]...)
+			n -= chunk
 		}
 	}
 }

@@ -1,5 +1,7 @@
 package compress
 
+import "slices"
+
 // RLE is a byte-level run-length codec: the stream is a sequence of
 // (run length varint, value byte) pairs. Column-major integer data is full
 // of long zero runs (high-order bytes), which is why RLE is a classic
@@ -41,8 +43,12 @@ func (rleCodec) Decode(dst, src []byte) ([]byte, error) {
 			return dst, ErrCorrupt
 		}
 		produced += int(n)
-		for ; n > 0; n-- {
-			dst = append(dst, v)
+		// Fill the run in grown capacity.
+		start := len(dst)
+		dst = slices.Grow(dst, int(n))[:start+int(n)]
+		run := dst[start:]
+		for i := range run {
+			run[i] = v
 		}
 	}
 	return dst, nil
@@ -230,9 +236,6 @@ func (bitpackCodec) Decode(dst, src []byte) ([]byte, error) {
 		var bits uint
 		bi := 0
 		mask := uint64(1)<<uint(width) - 1
-		if width == 64 {
-			mask = ^uint64(0)
-		}
 		for i := 0; i < cnt; i++ {
 			for bits < uint(width) {
 				acc |= uint64(src[bi]) << bits

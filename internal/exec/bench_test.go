@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"energydb/internal/compress"
 	"energydb/internal/energy"
 	"energydb/internal/hw"
 	"energydb/internal/sim"
@@ -200,7 +201,7 @@ func BenchmarkSortInt(b *testing.B) {
 // the kernel benchmarks above, this path keeps the discrete-event engine
 // live (charges are real), because the morsel/merge machinery under test
 // *is* simulator bookkeeping plus real block decoding.
-func benchScan(b *testing.B, tab *table.Table, dop int) float64 {
+func benchScan(b *testing.B, tab *table.Table, codecs []compress.Codec, dop int) float64 {
 	b.Helper()
 	// Rig construction and placement encoding are per-iteration setup, not
 	// the scan under measurement: keep them off the timer.
@@ -215,7 +216,7 @@ func benchScan(b *testing.B, tab *table.Table, dop int) float64 {
 		devs[i] = hw.NewSSD(eng, meter, fmt.Sprintf("ssd%d", i), hw.FlashSSD2008())
 	}
 	vol := storage.NewVolume("vol", storage.Striped, 16<<10, devs)
-	st, err := PlaceColumnMajor(tab, vol, 1, 4096, rawCodecs(len(tab.Schema.Cols)))
+	st, err := PlaceColumnMajor(tab, vol, 1, 4096, codecs)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -245,22 +246,35 @@ func benchScan(b *testing.B, tab *table.Table, dop int) float64 {
 	return eng.Now()
 }
 
-// BenchmarkColumnScan measures the full simulated scan path (placement
-// decode + predicate + event bookkeeping) at DOP 1, 4 and 8. ns/op is the
-// real cost of simulating the scan; the sim_ms metric is the *simulated*
-// elapsed time, which is what shrinks with DOP.
+// BenchmarkColumnScan measures the full simulated scan path (block
+// decode + predicate + event bookkeeping) per codec at DOP 1 and 8. ns/op
+// and allocs/op are the real cost of simulating the scan, so they track
+// the decode kernels; the sim_ms metric is the *simulated* elapsed time,
+// which is what shrinks with DOP. Every case reads two columns and keeps
+// about half the rows: two int columns for raw, lz and bitpack; a
+// 1000-group string column beside an int column for dict (which stores
+// the int column verbatim behind its raw marker).
 func BenchmarkColumnScan(b *testing.B) {
-	tab := benchInts(benchRows)
-	for _, dop := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("dop%d", dop), func(b *testing.B) {
-			b.ReportAllocs()
-			var simSecs float64
-			for i := 0; i < b.N; i++ {
-				simSecs = benchScan(b, tab, dop)
-			}
-			b.ReportMetric(simSecs*1e3, "sim_ms")
-			b.ReportMetric(float64(benchRows)*float64(b.N)/float64(b.Elapsed().Seconds())/1e6, "Mrows/s")
-		})
+	ints, strs := benchInts(benchRows), benchStrings(benchRows, 1000)
+	cases := []struct {
+		tab   *table.Table
+		codec compress.Codec
+	}{
+		{ints, compress.Raw}, {ints, compress.LZ}, {strs, compress.Dict}, {ints, compress.Bitpack},
+	}
+	for _, c := range cases {
+		codecs := []compress.Codec{c.codec, c.codec}
+		for _, dop := range []int{1, 8} {
+			b.Run(fmt.Sprintf("%s/dop%d", c.codec.Name(), dop), func(b *testing.B) {
+				b.ReportAllocs()
+				var simSecs float64
+				for i := 0; i < b.N; i++ {
+					simSecs = benchScan(b, c.tab, codecs, dop)
+				}
+				b.ReportMetric(simSecs*1e3, "sim_ms")
+				b.ReportMetric(float64(benchRows)*float64(b.N)/float64(b.Elapsed().Seconds())/1e6, "Mrows/s")
+			})
+		}
 	}
 }
 

@@ -14,6 +14,13 @@ import (
 // the codec's decode cycles), a predicate filters rows, and Emit selects
 // the output columns.
 //
+// Every block is decoded afresh on every scan — nothing is memoised — but
+// into state the scan owns: one decode buffer and one vector per read
+// column, refilled block after block. The returned batch aliases them, so
+// it is valid only until the next Next or Close (the volcano contract);
+// a consumer that keeps rows copies them. Steady-state decoding allocates
+// nothing but string values.
+//
 // I/O is pipelined: a background reader process fetches block b+1..b+W
 // while the consumer decodes and processes block b, so elapsed time tends
 // to max(I/O, CPU) — the overlap the paper's Figure 2 assumes ("by
@@ -39,6 +46,8 @@ type ColumnScan struct {
 	cancel  bool
 	ready   *sim.Mailbox[blockMsg]
 	credits *sim.Mailbox[int]
+	bufs    [][]byte     // per read column decode buffer, reused per block
+	read    *table.Batch // reusable decoded block over readSch
 	sel     []int32      // reusable selection vector
 	view    *table.Batch // reusable output view batch
 }
@@ -66,13 +75,16 @@ func NewColumnScan(st *StoredTable, readCols, emit []int, pred Pred) *ColumnScan
 	for i, ci := range readCols {
 		readCs[i] = st.Tab.Schema.Cols[ci]
 	}
+	readSch := table.NewSchema(st.Tab.Schema.Name, readCs...)
 	return &ColumnScan{
 		ST:       st,
 		ReadCols: readCols,
 		Emit:     emit,
 		Pred:     pred,
 		schema:   table.NewSchema(st.Tab.Schema.Name, cols...),
-		readSch:  table.NewSchema(st.Tab.Schema.Name, readCs...),
+		readSch:  readSch,
+		bufs:     make([][]byte, len(readCols)),
+		read:     table.NewBatch(readSch, 0),
 	}
 }
 
@@ -135,29 +147,48 @@ func (s *ColumnScan) Next(ctx *Ctx) (*table.Batch, error) {
 	}
 	s.credits.Put(1)
 
-	read := table.NewBatch(s.readSch, 0)
 	var logicalBytes int64
 	for i, ci := range s.ReadCols {
 		blk := s.ST.cols[ci][b]
-		raw, err := s.ST.Codecs[ci].Decode(nil, blk.enc)
-		if err != nil {
-			return nil, fmt.Errorf("exec: column %d block %d: %w", ci, b, err)
+		if err := s.decodeColumn(i, b); err != nil {
+			return nil, err
 		}
 		// Real decompression cost: decode cycles per logical byte.
 		ctx.ChargeBytes(blk.rawSize, s.ST.Codecs[ci].Cost().DecodeCyclesPerByte)
-		v, err := table.DecodeVector(s.ST.Tab.Schema.Cols[ci].Type, raw, blk.hi-blk.lo)
-		if err != nil {
-			return nil, fmt.Errorf("exec: column %d block %d: %w", ci, b, err)
-		}
-		read.Vecs[i] = v
 		logicalBytes += blk.rawSize
 	}
 	lo, hi := s.ST.blockSpan(b)
-	read.SetRows(hi - lo)
+	s.read.SetRows(hi - lo)
 	// Scanner work proper: predicate + projection over the logical bytes.
 	ctx.ChargeBytes(logicalBytes, ctx.Costs.ScanCyclesPerByte)
 	ctx.TouchDRAM(logicalBytes)
-	return applyPredEmit(ctx, read, s.Pred, s.Emit, s.schema, &s.sel, &s.view), nil
+	return applyPredEmit(ctx, s.read, s.Pred, s.Emit, s.schema, &s.sel, &s.view), nil
+}
+
+// decodeColumn decodes block b of read column i into the scan's buffer
+// and vector for that column, growing them only when the block is larger
+// than any before it. It charges nothing; Next does.
+func (s *ColumnScan) decodeColumn(i, b int) error {
+	ci := s.ReadCols[i]
+	blk := s.ST.cols[ci][b]
+	raw, err := s.ST.Codecs[ci].Decode(presized(s.bufs[i], blk.rawSize), blk.enc)
+	if err != nil {
+		return fmt.Errorf("exec: column %d block %d: %w", ci, b, err)
+	}
+	s.bufs[i] = raw
+	if err := table.DecodeVectorInto(s.read.Vecs[i], s.readSch.Cols[i].Type, raw, blk.hi-blk.lo); err != nil {
+		return fmt.Errorf("exec: column %d block %d: %w", ci, b, err)
+	}
+	return nil
+}
+
+// presized returns buf emptied, with capacity for at least n bytes, so a
+// codec appending a block of logical size n never grows it.
+func presized(buf []byte, n int64) []byte {
+	if int64(cap(buf)) < n {
+		return make([]byte, 0, n)
+	}
+	return buf[:0]
 }
 
 // Close implements Operator. Closing early cancels the reader process.
@@ -202,6 +233,7 @@ type RowScan struct {
 	cancel  bool
 	ready   *sim.Mailbox[blockMsg]
 	credits *sim.Mailbox[int]
+	buf     []byte       // reusable decode buffer
 	sel     []int32      // reusable selection vector
 	view    *table.Batch // reusable output view batch
 }
@@ -410,10 +442,11 @@ func (s *RowScan) Next(ctx *Ctx) (*table.Batch, error) {
 		}
 	}
 
-	raw, err := s.ST.RowCodec.Decode(nil, blk.enc)
+	raw, err := s.ST.RowCodec.Decode(presized(s.buf, blk.rawSize), blk.enc)
 	if err != nil {
 		return nil, fmt.Errorf("exec: row block %d: %w", bi, err)
 	}
+	s.buf = raw
 	ctx.ChargeBytes(blk.rawSize, s.ST.RowCodec.Cost().DecodeCyclesPerByte)
 	full, err := table.DecodeRows(s.ST.Tab.Schema, raw, blk.hi-blk.lo)
 	if err != nil {

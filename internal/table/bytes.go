@@ -1,6 +1,7 @@
 package table
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 )
@@ -53,10 +54,7 @@ func appendLE64(dst []byte, u uint64) []byte {
 		byte(u>>32), byte(u>>40), byte(u>>48), byte(u>>56))
 }
 
-func readLE64(b []byte) uint64 {
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}
+func readLE64(b []byte) uint64 { return binary.LittleEndian.Uint64(b) }
 
 // EncodeBytes appends the wire form of elements [lo, hi) of v to dst.
 func (v *Vector) EncodeBytes(dst []byte, lo, hi int) []byte {
@@ -79,40 +77,70 @@ func (v *Vector) EncodeBytes(dst []byte, lo, hi int) []byte {
 }
 
 // DecodeVector parses n values of type t from data, which must contain
-// exactly n encoded values.
+// exactly n encoded values, into a fresh vector.
 func DecodeVector(t Type, data []byte, n int) (*Vector, error) {
-	v := NewVector(t, n)
+	v := &Vector{Type: t}
+	if err := DecodeVectorInto(v, t, data, n); err != nil {
+		return nil, err
+	}
+	return v, nil
+}
+
+// DecodeVectorInto is DecodeVector into v: v becomes a vector of type t
+// holding the n values, reusing its backing arrays when they are large
+// enough, so a caller that decodes block after block into one vector
+// allocates nothing but the strings themselves. On error v's contents are
+// unspecified.
+func DecodeVectorInto(v *Vector, t Type, data []byte, n int) error {
+	v.Type = t
+	v.Reset()
 	switch t.Physical() {
 	case PhysInt:
-		if len(data) != n*8 {
-			return nil, fmt.Errorf("table: int column of %d values needs %d bytes, have %d", n, n*8, len(data))
+		if n < 0 || len(data)%8 != 0 || len(data)/8 != n {
+			return fmt.Errorf("table: int column of %d values needs %d bytes, have %d", n, n*8, len(data))
 		}
-		for i := 0; i < n; i++ {
-			v.I = append(v.I, int64(readLE64(data[i*8:])))
+		v.I = resize(v.I, n)
+		for i := range v.I {
+			v.I[i] = int64(readLE64(data[i*8:]))
 		}
 	case PhysFloat:
-		if len(data) != n*8 {
-			return nil, fmt.Errorf("table: float column of %d values needs %d bytes, have %d", n, n*8, len(data))
+		if n < 0 || len(data)%8 != 0 || len(data)/8 != n {
+			return fmt.Errorf("table: float column of %d values needs %d bytes, have %d", n, n*8, len(data))
 		}
-		for i := 0; i < n; i++ {
-			v.F = append(v.F, math.Float64frombits(readLE64(data[i*8:])))
+		v.F = resize(v.F, n)
+		for i := range v.F {
+			v.F[i] = math.Float64frombits(readLE64(data[i*8:]))
 		}
 	default:
+		// Every value needs at least its length byte.
+		if n < 0 || n > len(data) {
+			return fmt.Errorf("table: string column of %d values cannot fit in %d bytes", n, len(data))
+		}
+		v.S = resize(v.S, n)
 		off := 0
-		for i := 0; i < n; i++ {
+		for i := range v.S {
 			l, k := readUvarint(data[off:])
 			if k <= 0 || l > uint64(len(data)) || off+k+int(l) > len(data) {
-				return nil, fmt.Errorf("table: corrupt string column at value %d", i)
+				return fmt.Errorf("table: corrupt string column at value %d", i)
 			}
 			off += k
-			v.S = append(v.S, string(data[off:off+int(l)]))
+			v.S[i] = string(data[off : off+int(l)])
 			off += int(l)
 		}
 		if off != len(data) {
-			return nil, fmt.Errorf("table: %d trailing bytes after string column", len(data)-off)
+			return fmt.Errorf("table: %d trailing bytes after string column", len(data)-off)
 		}
 	}
-	return v, nil
+	return nil
+}
+
+// resize returns s with length n, reusing its backing array when it holds
+// n elements. A nil s always gets a fresh (non-nil) array.
+func resize[T any](s []T, n int) []T {
+	if s == nil || cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // EncodeRows appends the row-major wire form of batch rows [lo, hi): each
